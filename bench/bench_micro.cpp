@@ -437,6 +437,8 @@ bool run_datapath_verification() {
 
   // 4. Speedups, measured in the same run that proved bit-exactness.
   const auto grad = random_tensor(n, 1);
+  // Both TopK sides run the same histogram selection (one chunk inline vs
+  // up to 8 chunks on the pool), so this ratio is the parallel gain alone.
   TopKCompressor topk(0.01);
   const double topk_serial =
       best_seconds([&] { benchmark::DoNotOptimize(topk.compress(grad.cspan(), 0)); },
@@ -464,7 +466,7 @@ bool run_datapath_verification() {
 
   std::printf(
       "[datapath] verify %s  (n=%zu, B=%zu)\n"
-      "[datapath] topk  serial %.3f ms  parallel(8) %.3f ms  speedup %.2fx\n"
+      "[datapath] topk  one chunk %.3f ms  parallel(8) %.3f ms  speedup %.2fx\n"
       "[datapath] merge pairwise %.3f ms  k-way %.3f ms  speedup %.2fx\n",
       ok ? "OK" : "FAILED", n, batch_size, topk_serial * 1e3,
       topk_parallel * 1e3, topk_speedup, merge_pairwise * 1e3,

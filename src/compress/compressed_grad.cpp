@@ -51,7 +51,10 @@ class Reader {
   template <typename T>
   std::vector<T> read_vec() {
     const auto n = read<std::uint64_t>();
-    LOWDIFF_ENSURE(pos_ + n * sizeof(T) <= bytes_.size(), "truncated compressed gradient");
+    // Divide instead of multiplying: a lying count must not wrap n*sizeof(T)
+    // past the check (and then throw from the allocation instead).
+    LOWDIFF_ENSURE(n <= (bytes_.size() - pos_) / sizeof(T),
+                   "truncated compressed gradient");
     std::vector<T> v(n);
     if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);

@@ -21,7 +21,7 @@ class Compressor {
   virtual ~Compressor() = default;
 
   /// Attaches an optional worker pool for chunk-parallel compression;
-  /// nullptr restores the serial path.  The pool must outlive the
+  /// nullptr runs on the calling thread.  The pool must outlive the
   /// compressor.  Determinism contract: for a given input the payload is
   /// bit-identical for every pool size, including none (DESIGN.md §6), so
   /// workers with different pool configurations still agree.  Clones

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <numeric>
+#include <span>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -12,17 +12,16 @@
 namespace lowdiff {
 namespace {
 
-/// Below this size the chunked path cannot win: key packing + candidate
-/// compaction costs more than the serial nth_element saves.
+/// Smallest chunk worth a histogram pass on its own thread: below it the
+/// pool hand-off costs more than the chunk's scan.
 constexpr std::size_t kParallelThreshold = std::size_t{1} << 15;
 
-/// Packs the selection order into one integer so chunked selection is a
-/// plain u64 compare: high 32 bits are the magnitude bits of the float
-/// (sign cleared — for non-NaN values integer order on these bits equals
-/// fabs order), low 32 bits are ~index so that on equal magnitudes the
-/// LOWER index wins under descending key order.  This is the exact total
-/// order of the serial comparator below, and because a total order has a
-/// unique top-k set, any chunking of the selection produces bit-identical
+/// Packs the selection order into one integer so selection is a plain u64
+/// compare: high 32 bits are the magnitude bits of the float (sign cleared
+/// — for non-NaN values integer order on these bits equals fabs order, and
+/// ±0.0 tie), low 32 bits are ~index so that on equal magnitudes the LOWER
+/// index wins under descending key order.  A total order has a unique
+/// top-k set, so any chunking of the selection produces bit-identical
 /// output.
 inline std::uint32_t mag_bits(float v) {
   std::uint32_t bits;
@@ -39,7 +38,7 @@ inline std::uint32_t unpack_index(std::uint64_t key) {
   return ~static_cast<std::uint32_t>(key);
 }
 
-/// Histogram (radix) top-k selection, chunk-parallel.
+/// Histogram (radix) top-k selection, chunk-parallel when a pool is given.
 ///
 /// Two linear passes instead of an O(n) nth_element with its data
 /// movement: pass 1 histograms the magnitude's high 15 bits per chunk;
@@ -47,26 +46,38 @@ inline std::uint32_t unpack_index(std::uint64_t key) {
 /// above t hold fewer than k entries but t's entries push past k.  Pass 2
 /// collects every index above t (already the top of the order) plus the
 /// full packed keys inside t, from which the remaining winners are picked
-/// by nth_element on that (normally tiny) bucket.
-///
-/// Selection operates on the pack_key total order (|v| descending, index
-/// ascending on ties) and a total order has a unique top-k set, so the
-/// result is bit-identical to select_serial for any chunk count.
-void select_chunked(std::span<const float> grad, std::size_t k,
-                    ThreadPool& pool, std::vector<std::uint32_t>& indices) {
+/// by nth_element on that (normally tiny) bucket.  Without a pool (or a
+/// gradient too small to split) the one chunk runs inline.
+void select_topk(std::span<const float> grad, std::size_t k, ThreadPool* pool,
+                 std::vector<std::uint32_t>& indices) {
   const std::size_t n = grad.size();
   const std::size_t chunks =
-      std::min<std::size_t>(pool.size(), (n + kParallelThreshold - 1) /
-                                             kParallelThreshold);
+      pool == nullptr ? 1
+                      : std::clamp<std::size_t>(n / kParallelThreshold, 1,
+                                                pool->size());
   const std::size_t per = (n + chunks - 1) / chunks;
   constexpr std::size_t kBuckets = std::size_t{1} << 15;  // mag_bits >> 16
 
   auto chunk_lo = [&](std::size_t c) { return std::min(n, c * per); };
   auto chunk_hi = [&](std::size_t c) { return std::min(n, c * per + per); };
+  auto for_each_chunk = [&](const std::function<void(std::size_t)>& f) {
+    if (chunks == 1) {
+      f(0);
+    } else {
+      pool->parallel_for(0, chunks, f);
+    }
+  };
 
-  // Pass 1: per-chunk bucket counts.
-  std::vector<std::uint32_t> hist(chunks * kBuckets, 0);
-  pool.parallel_for(0, chunks, [&](std::size_t c) {
+  // Pass 1: per-chunk bucket counts.  Each chunk's histogram is 128 KiB,
+  // so the storage is kept per calling thread: a fresh allocation that
+  // size is an mmap/munmap pair with its page faults under glibc's mmap
+  // threshold, which cost more than the whole selection on small
+  // gradients.  The chunk lambdas must use the span, not the thread_local
+  // itself, which would name the pool worker's own (empty) copy.
+  thread_local std::vector<std::uint32_t> hist_storage;
+  hist_storage.assign(chunks * kBuckets, 0);
+  const std::span<std::uint32_t> hist(hist_storage);
+  for_each_chunk([&](std::size_t c) {
     std::uint32_t* h = hist.data() + c * kBuckets;
     const std::size_t hi = chunk_hi(c);
     for (std::size_t i = chunk_lo(c); i < hi; ++i) {
@@ -99,7 +110,7 @@ void select_chunked(std::span<const float> grad, std::size_t k,
 
   indices.resize(k);
   std::vector<std::uint64_t> tkeys(t_off[chunks]);
-  pool.parallel_for(0, chunks, [&](std::size_t c) {
+  for_each_chunk([&](std::size_t c) {
     std::uint32_t* above_out = indices.data() + above_off[c];
     std::uint64_t* t_out = tkeys.data() + t_off[c];
     const std::size_t hi = chunk_hi(c);
@@ -121,23 +132,6 @@ void select_chunked(std::span<const float> grad, std::size_t k,
   for (std::size_t i = 0; i < need; ++i) {
     indices[k_above + i] = unpack_index(tkeys[i]);
   }
-  std::sort(indices.begin(), indices.end());  // ascending coordinates on the wire
-}
-
-void select_serial(std::span<const float> grad, std::size_t k,
-                   std::vector<std::uint32_t>& indices) {
-  indices.resize(grad.size());
-  std::iota(indices.begin(), indices.end(), 0u);
-  auto by_magnitude = [&grad](std::uint32_t a, std::uint32_t b) {
-    const float fa = std::fabs(grad[a]);
-    const float fb = std::fabs(grad[b]);
-    if (fa != fb) return fa > fb;
-    return a < b;  // deterministic tie-break
-  };
-  std::nth_element(indices.begin(),
-                   indices.begin() + static_cast<std::ptrdiff_t>(k) - 1,
-                   indices.end(), by_magnitude);
-  indices.resize(k);
   std::sort(indices.begin(), indices.end());  // ascending coordinates on the wire
 }
 
@@ -163,11 +157,7 @@ CompressedGrad TopKCompressor::compress(std::span<const float> grad,
   if (k == 0) return out;
 
   ThreadPool* pool = thread_pool();
-  if (pool != nullptr && pool->size() > 1 && grad.size() >= 2 * kParallelThreshold) {
-    select_chunked(grad, k, *pool, out.indices);
-  } else {
-    select_serial(grad, k, out.indices);
-  }
+  select_topk(grad, k, pool, out.indices);
 
   out.values.resize(k);
   auto gather = [&](std::size_t i) { out.values[i] = grad[out.indices[i]]; };

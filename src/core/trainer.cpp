@@ -112,6 +112,9 @@ TrainResult Trainer::run(std::uint64_t start_iter, std::uint64_t num_iters,
   obs::Counter& iters_total = reg.counter("trainer.iterations_total");
   obs::Histogram& compute_us = reg.histogram("trainer.compute_us");
   obs::Histogram& sync_us = reg.histogram("trainer.sync_us");
+  obs::Histogram& compress_us = reg.histogram("trainer.compress_us");
+  obs::Histogram& collective_us = reg.histogram("trainer.collective_us");
+  obs::Histogram& optimizer_us = reg.histogram("trainer.optimizer_us");
   obs::Histogram& stall_us = reg.histogram("trainer.stall_us");
   // Degraded-durability sampling: the tier layer owns this gauge (string
   // duplicated here — core cannot depend on tier); it reads 0 when no
@@ -149,42 +152,69 @@ TrainResult Trainer::run(std::uint64_t start_iter, std::uint64_t num_iters,
       }
       if (rank == 0) result.losses[i] = loss;
 
+      // train.sync splits into three nested stages, in the regime's order:
+      // compress (build the payload), collective (synchronize and average),
+      // optimizer (decode and apply the update).
       obs::TraceSpan sync_span(obs::Tracer::global(), "train.sync", "train");
       Stopwatch sync_sw;
+      auto stage = [rank](const char* name, obs::Histogram& hist, auto&& body) {
+        obs::TraceSpan span(obs::Tracer::global(), name, "train");
+        Stopwatch sw;
+        body();
+        span.finish();
+        if (rank == 0) hist.observe(sw.elapsed_sec() * 1e6);
+      };
       std::shared_ptr<const CompressedGrad> payload;
       if (config_.compression == GradCompression::kTopK ||
           config_.compression == GradCompression::kRandomK) {
         // Compress (optionally error-corrected), synchronize, average.
-        CompressedGrad local =
-            feedback_[rank] != nullptr
-                ? feedback_[rank]->compress(grad.cspan(), iter)
-                : compressor_->compress(grad.cspan(), iter);
-        CompressedGrad merged = comm.allreduce_sparse(rank, local);
-        const float inv_world = 1.0f / static_cast<float>(config_.world);
-        for (auto& v : merged.values) v *= inv_world;
-        merged.iteration = iter;
-        payload = std::make_shared<const CompressedGrad>(std::move(merged));
-        compressor_->decompress(*payload, dense.span());
-        optimizer_->step(state, dense.cspan());
+        CompressedGrad local;
+        stage("train.compress", compress_us, [&] {
+          local = feedback_[rank] != nullptr
+                      ? feedback_[rank]->compress(grad.cspan(), iter)
+                      : compressor_->compress(grad.cspan(), iter);
+        });
+        stage("train.collective", collective_us, [&] {
+          CompressedGrad merged = comm.allreduce_sparse(rank, local);
+          const float inv_world = 1.0f / static_cast<float>(config_.world);
+          for (auto& v : merged.values) v *= inv_world;
+          merged.iteration = iter;
+          payload = std::make_shared<const CompressedGrad>(std::move(merged));
+        });
+        stage("train.optimizer", optimizer_us, [&] {
+          compressor_->decompress(*payload, dense.span());
+          optimizer_->step(state, dense.cspan());
+        });
       } else if (config_.compression == GradCompression::kQuant8) {
         // Quantized regime: synchronize densely, quantize the synchronized
         // gradient (bit-identical on every rank), and train on the
         // *dequantized* values so recovery replays the exact update.
-        comm.allreduce_sum(rank, grad.span());
-        ops::scale(grad.span(), 1.0f / static_cast<float>(config_.world));
-        payload = std::make_shared<const CompressedGrad>(
-            compressor_->compress(grad.cspan(), iter));
-        compressor_->decompress(*payload, dense.span());
-        optimizer_->step(state, dense.cspan());
+        stage("train.collective", collective_us, [&] {
+          comm.allreduce_sum(rank, grad.span());
+          ops::scale(grad.span(), 1.0f / static_cast<float>(config_.world));
+        });
+        stage("train.compress", compress_us, [&] {
+          payload = std::make_shared<const CompressedGrad>(
+              compressor_->compress(grad.cspan(), iter));
+        });
+        stage("train.optimizer", optimizer_us, [&] {
+          compressor_->decompress(*payload, dense.span());
+          optimizer_->step(state, dense.cspan());
+        });
       } else {
-        comm.allreduce_sum(rank, grad.span());
-        ops::scale(grad.span(), 1.0f / static_cast<float>(config_.world));
-        optimizer_->step(state, grad.cspan());
-        if (rank == 0 && (strategy != nullptr || layerwise != nullptr)) {
-          DenseCompressor dense_comp;
-          auto wrapped = dense_comp.compress(grad.cspan(), iter);
-          payload = std::make_shared<const CompressedGrad>(std::move(wrapped));
-        }
+        stage("train.collective", collective_us, [&] {
+          comm.allreduce_sum(rank, grad.span());
+          ops::scale(grad.span(), 1.0f / static_cast<float>(config_.world));
+        });
+        stage("train.optimizer", optimizer_us,
+              [&] { optimizer_->step(state, grad.cspan()); });
+        stage("train.compress", compress_us, [&] {
+          if (rank == 0 && (strategy != nullptr || layerwise != nullptr)) {
+            DenseCompressor dense_comp;
+            auto wrapped = dense_comp.compress(grad.cspan(), iter);
+            payload = std::make_shared<const CompressedGrad>(std::move(wrapped));
+          }
+        });
       }
       sync_span.finish();
       if (rank == 0) sync_us.observe(sync_sw.elapsed_sec() * 1e6);

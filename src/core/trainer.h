@@ -55,9 +55,12 @@ struct TrainerConfig {
   AdamConfig adam{};  ///< used when optimizer == kAdam
   SgdConfig sgd{};    ///< used when optimizer == kSgd
   std::uint64_t seed = 42;
-  /// Worker threads for the chunk-parallel compression datapath.  0 keeps
-  /// compression serial; any value produces bit-identical payloads (the
-  /// compressors' determinism contract), so this is purely a speed knob.
+  /// Worker threads for the chunk-parallel compression datapath.  0 runs
+  /// compression on each rank's own thread (Top-K then selects in one
+  /// histogram chunk, which is already the fast algorithm); more threads
+  /// split large gradients into up to that many chunks.  Any value produces
+  /// bit-identical payloads (the compressors' determinism contract), so
+  /// this is purely a speed knob.
   std::size_t datapath_threads = 0;
 };
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -193,6 +197,33 @@ TEST(Barrier, ReleasesAllParties) {
     barrier.arrive_and_wait();
     EXPECT_EQ(after.load(), 4);
   });
+}
+
+TEST(Barrier, RanksSharingOneCpuDoNotSpinOutTheirBudget) {
+  // A 1-core host (or `taskset -c 0`) puts every rank on one CPU.  A
+  // waiter that spun there would hold the CPU the rank it waits for needs,
+  // and each round could cost the whole spin budget.  Only this test's own
+  // threads are pinned, to the first CPU the process may use.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+
+  constexpr int kRounds = 1000;
+  Barrier barrier(2);
+  std::atomic<int> pinned{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  spawn_ranks(2, [&](std::size_t) {
+    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) ++pinned;
+    for (int i = 0; i < kRounds; ++i) barrier.arrive_and_wait();
+  });
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  ASSERT_EQ(pinned.load(), 2);
+  EXPECT_LT(elapsed, kRounds * Barrier::kSpinBudget / 10)
+      << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
 }
 
 }  // namespace

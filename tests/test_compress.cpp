@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <exception>
+#include <string>
 
 #include "common/rng.h"
 #include "compress/compressed_grad.h"
@@ -249,6 +252,30 @@ TEST(CompressedGrad, TruncatedBytesRejected) {
   const auto bytes = TopKCompressor(0.1).compress(g.cspan(), 0).serialize();
   const std::span<const std::byte> truncated(bytes.data(), bytes.size() - 3);
   EXPECT_THROW(CompressedGrad::deserialize(truncated), Error);
+}
+
+TEST(CompressedGrad, LyingVectorCountIsTruncatedNotAnAllocation) {
+  // Index counts of 2^62 and 2^64 - 1 four-byte entries: their byte size
+  // wraps 2^64, which slipped past a `pos + n * size` bound check into
+  // std::vector's allocation.  They must fail the codec's own check.
+  auto g = random_grad(100, 16);
+  const auto bytes = TopKCompressor(0.1).compress(g.cspan(), 0).serialize();
+  // Layout: scheme u8, dense_size u64, iteration u64, then each vector's
+  // u64 count followed by its elements (indices u32, values f32, ...).
+  const std::size_t indices_count_at = 1 + 8 + 8;
+  for (const std::uint64_t lie : {std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    auto bad = bytes;
+    std::memcpy(bad.data() + indices_count_at, &lie, sizeof(lie));
+    try {
+      (void)CompressedGrad::deserialize(bad);
+      ADD_FAILURE() << "count " << lie << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "count " << lie << " threw " << e.what();
+    }
+  }
 }
 
 // --- merging / batching ------------------------------------------------------------

@@ -9,7 +9,9 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -25,6 +27,7 @@
 #include "storage/async_writer.h"
 #include "storage/mem_storage.h"
 #include "storage/serializer.h"
+#include "support/topk_reference.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -99,6 +102,44 @@ TEST(ParallelCompress, TopKTieHeavyInputIsDeterministic) {
     comp.set_thread_pool(pool);
     EXPECT_EQ(comp.compress(grad.cspan(), 0), serial)
         << "pool=" << pool->size();
+  }
+}
+
+TEST(TopKSelection, MatchesNthElementReferenceForEveryInputAndPool) {
+  // The histogram selection is TopKCompressor's only path; the kept
+  // nth_element reference fixes what it must select.  Inputs cover the
+  // cases where the tie-break or the threshold bucket decides: repeated
+  // magnitudes, all zeros, signed zeros (which tie), mostly-zero gradients
+  // where k reaches into the zeros, and sizes below one chunk.
+  const std::size_t large = kLargeN;
+  std::vector<std::pair<std::string, Tensor>> inputs;
+  inputs.emplace_back("random", random_tensor(large, 21));
+  inputs.emplace_back("tie_heavy", tie_heavy_tensor(large, 22));
+  inputs.emplace_back("all_zero", Tensor(large));
+  Tensor signed_zeros(large);
+  for (std::size_t i = 0; i < large; ++i) {
+    signed_zeros.span()[i] = i % 3 == 0 ? -0.0f : (i % 3 == 1 ? 0.0f : -1e-3f);
+  }
+  inputs.emplace_back("signed_zeros", std::move(signed_zeros));
+  Tensor sparse(large);
+  for (std::size_t i = 0; i < large; i += 97) sparse.span()[i] = random_tensor(1, i)[0];
+  inputs.emplace_back("sparse", std::move(sparse));
+  inputs.emplace_back("below_chunk", random_tensor(kSmallN, 23));
+  inputs.emplace_back("one", random_tensor(1, 24));
+
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool8};
+  for (const double ratio : {0.01, 1.0}) {  // k = n at 1.0
+    TopKCompressor comp(ratio);
+    for (const auto& [name, grad] : inputs) {
+      const std::size_t k = comp.k_for(grad.size());
+      const auto expected = test_support::topk_reference(grad.cspan(), k, 9);
+      for (ThreadPool* pool : pools) {
+        comp.set_thread_pool(pool);
+        EXPECT_EQ(comp.compress(grad.cspan(), 9), expected)
+            << name << " ratio=" << ratio << " pool=" << (pool ? pool->size() : 0);
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "model/dataset.h"
 #include "model/grad_gen.h"
@@ -18,6 +19,10 @@ struct ZooCase {
   const char* name;
   std::size_t params;
 };
+
+// gtest prints the parameter into each case's listed name; without this it
+// dumps the raw bytes, pointer included, so the name changed on every run.
+void PrintTo(const ZooCase& c, std::ostream* os) { *os << c.name; }
 
 class ZooParamCount : public ::testing::TestWithParam<ZooCase> {};
 

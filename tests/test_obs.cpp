@@ -284,6 +284,59 @@ TEST(ObsEndToEnd, TraceSpansReconstructTrainerStallWithinFivePercent) {
   tracer.clear();
 }
 
+TEST(ObsEndToEnd, SyncStageSpansNestInsideEachTrainSync) {
+  // train.sync splits into compress, collective and optimizer stages: one
+  // of each inside every sync span of the same rank thread, together no
+  // longer than the sync itself; rank 0 also feeds one histogram sample
+  // per stage per iteration.
+  constexpr std::uint64_t kIters = 12;
+  for (const double rho : {0.05, 0.0}) {  // sparse (Top-K) and dense regimes
+    SCOPED_TRACE(rho);
+    auto& reg = obs::Registry::global();
+    const char* stage_hists[] = {"trainer.compress_us", "trainer.collective_us",
+                                 "trainer.optimizer_us"};
+    std::uint64_t before[3];
+    for (int h = 0; h < 3; ++h) before[h] = reg.histogram(stage_hists[h]).count();
+
+    auto& tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.set_enabled(true);
+    TrainerConfig cfg;
+    cfg.world = 2;
+    cfg.rho = rho;
+    Trainer trainer(tiny_mlp(), cfg);
+    (void)trainer.run(0, kIters, nullptr);
+    tracer.set_enabled(false);
+    const auto events = tracer.events();
+    tracer.clear();
+
+    std::size_t syncs = 0;
+    for (const auto& sync : events) {
+      if (sync.name != "train.sync") continue;
+      ++syncs;
+      const double begin = sync.ts_us;
+      const double end = sync.ts_us + sync.dur_us;
+      double staged_us = 0.0;
+      for (const char* stage : {"train.compress", "train.collective", "train.optimizer"}) {
+        std::size_t seen = 0;
+        for (const auto& e : events) {
+          if (e.name != stage || e.tid != sync.tid) continue;
+          if (e.ts_us < begin || e.ts_us + e.dur_us > end + 1e-3) continue;
+          ++seen;
+          staged_us += e.dur_us;
+        }
+        EXPECT_EQ(seen, 1u) << stage;
+      }
+      EXPECT_LE(staged_us, sync.dur_us + 1e-3);
+    }
+    EXPECT_EQ(syncs, cfg.world * kIters);
+    for (int h = 0; h < 3; ++h) {
+      EXPECT_EQ(reg.histogram(stage_hists[h]).count() - before[h], kIters)
+          << stage_hists[h];
+    }
+  }
+}
+
 // --- Recovery breaks its wall time down by stage ---------------------------
 
 TEST(ObsEndToEnd, RecoveryStageSpansNestInsideEachRecovery) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <span>
 
 #include "common/rng.h"
 #include "model/model_state.h"
@@ -89,6 +91,79 @@ TEST_P(AdamSlices, SliceUpdatesEqualDenseUpdate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Partitions, AdamSlices, ::testing::Values(1, 2, 3, 7, 97));
+
+/// The vectorized kernels run a vector body plus a scalar tail whose split
+/// depends on the slice's length and alignment.  Every length 1..40 at
+/// unaligned offsets, cut into head/slice/tail pieces, must equal the
+/// dense step bit for bit.
+TEST(OptimizerSlices, EveryLengthAndUnalignedOffsetMatchesDenseStep) {
+  const Adam adam;
+  const Sgd plain(SgdConfig{.lr = 0.1f, .momentum = 0.0f});
+  const Sgd momentum(SgdConfig{.lr = 0.1f, .momentum = 0.9f});
+  const Optimizer* optimizers[] = {&adam, &plain, &momentum};
+  for (const Optimizer* opt : optimizers) {
+    for (std::size_t len = 1; len <= 40; ++len) {
+      for (const std::size_t offset : {0u, 1u, 2u, 3u, 5u}) {
+        const std::size_t n = offset + len + 3;
+        ModelState dense(flat_spec(n)), sliced(flat_spec(n));
+        dense.init_random(len * 8 + offset);
+        sliced.init_random(len * 8 + offset);
+        Xoshiro256 rng(len + 100 * offset);
+        Tensor grad(n);
+        for (int iter = 0; iter < 3; ++iter) {
+          ops::fill_normal(grad.span(), rng, 0.5f);
+          opt->step(dense, grad.cspan());
+          const std::uint64_t step_after = sliced.step() + 1;
+          const std::size_t cuts[] = {0, offset, offset + len, n};
+          for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+            opt->step_slice(sliced, cuts[c],
+                            grad.cspan().subspan(cuts[c], cuts[c + 1] - cuts[c]),
+                            step_after);
+          }
+          opt->finish_partial_step(sliced);
+        }
+        ASSERT_TRUE(dense.bit_equal(sliced))
+            << opt->name() << " len=" << len << " offset=" << offset;
+      }
+    }
+  }
+}
+
+/// Adam::apply's float expressions one element at a time, compiled without
+/// vectorization (std::sqrt keeps its errno contract here).
+void adam_scalar_step(const AdamConfig& c, ModelState& state,
+                      std::span<const float> g) {
+  const auto t = static_cast<float>(state.step() + 1);
+  const float c1 = 1.0f - std::pow(c.beta1, t);
+  const float c2 = 1.0f - std::pow(c.beta2, t);
+  float* p = state.params().data();
+  float* m = state.moment1().data();
+  float* v = state.moment2().data();
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    m[i] = c.beta1 * m[i] + (1.0f - c.beta1) * g[i];
+    v[i] = c.beta2 * v[i] + (1.0f - c.beta2) * g[i] * g[i];
+    p[i] -= c.lr * (m[i] / c1) / (std::sqrt(v[i] / c2) + c.eps);
+  }
+  state.set_step(state.step() + 1);
+}
+
+TEST(Adam, VectorKernelMatchesScalarFormulaBitForBit) {
+  const AdamConfig cfg{.lr = 0.01f};
+  const Adam adam(cfg);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    ModelState vec(flat_spec(n)), scalar(flat_spec(n));
+    vec.init_random(n);
+    scalar.init_random(n);
+    Xoshiro256 rng(n);
+    Tensor grad(n);
+    for (int iter = 0; iter < 4; ++iter) {
+      ops::fill_normal(grad.span(), rng, 1.0f);
+      adam.step(vec, grad.cspan());
+      adam_scalar_step(cfg, scalar, grad.cspan());
+    }
+    ASSERT_TRUE(vec.bit_equal(scalar)) << "n=" << n;
+  }
+}
 
 TEST(Adam, SliceOutOfRangeThrows) {
   Adam adam;
